@@ -12,7 +12,7 @@ COVER_SPECS = internal/cloud:85 internal/pilot:80 internal/core:80
 FUZZ_TARGETS = FuzzParseFasta FuzzParseFastq FuzzParseSFA
 FUZZ_TIME ?= 10s
 
-.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke sweep-determinism journal-determinism overload-determinism check bench bench-gate bench-baseline clean
+.PHONY: all build test vet lint lint-fixtures race cover fuzz-smoke journal-determinism overload-determinism check bench bench-gate bench-baseline clean
 
 # Coverage profiles land here instead of littering the repo root.
 BUILD_DIR = build
@@ -88,12 +88,6 @@ fuzz-smoke:
 		$(GO) test ./internal/seq -run '^$$' -fuzz "^$$tgt$$" -fuzztime=$(FUZZ_TIME) || exit 1; \
 	done
 
-# sweep-determinism pins the parallel-executor contract under the
-# race detector: byte-identical results for any worker count, and one
-# dataset generation per profile however many cells ask for it.
-sweep-determinism:
-	$(GO) test -race -run 'TestMapDeterminismAcrossWorkerCounts|TestDatasetCacheSingleGeneration' ./internal/sweep
-
 # journal-determinism pins the checkpoint/resume contract: a run is
 # killed at three injected virtual-time points (mid-PA, mid-PB,
 # mid-PC), resumed from its write-ahead journal, and the resumed
@@ -126,10 +120,11 @@ overload-determinism:
 
 # check is the gate a change must pass before review: static analysis
 # (go vet plus the rnavet determinism analyzer), the full test suite
-# under the race detector, the coverage floors, the sweep determinism
-# contract, the journal resume contract, a fuzz smoke pass and the
-# kernel benchmark regression gate.
-check: vet lint race cover sweep-determinism journal-determinism overload-determinism fuzz-smoke bench-gate
+# under the race detector (which includes the sweep executor's
+# determinism tests), the coverage floors, the journal resume
+# contract, the overload contract, a fuzz smoke pass and the kernel
+# benchmark regression gate.
+check: vet lint race cover journal-determinism overload-determinism fuzz-smoke bench-gate
 
 # bench regenerates the paper tables at quick scale and refreshes
 # BENCH_results.json (per-stage TTC/cost snapshots, plus the pass's

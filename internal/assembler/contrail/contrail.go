@@ -146,7 +146,7 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 		TaskOverhead:   4,
 		MapRate:        mustRate(ct.MapRate, defaultMapRate),
 		ReduceRate:     mustRate(ct.ReduceRate, defaultReduceRate),
-		SplitBytes:     maxI64(1024, int64(64e6/volumeScale)),
+		SplitBytes:     max(1024, int64(64e6/volumeScale)),
 		VolumeScale:    volumeScale,
 	}
 	engine, err := mapreduce.NewEngine(cfg)
@@ -251,7 +251,7 @@ func (ct *Contrail) Assemble(req assembler.Request) (assembler.Result, error) {
 				if err != nil {
 					continue
 				}
-				per := uint32(rec.count / int64(maxI(1, len(rec.seq)-k+1)))
+				per := uint32(rec.count / int64(max(1, len(rec.seq)-k+1)))
 				if per == 0 {
 					per = 1
 				}
@@ -443,18 +443,4 @@ func mustDur(v, def float64) vclock.Duration {
 		return vclock.Duration(v)
 	}
 	return vclock.Duration(def)
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

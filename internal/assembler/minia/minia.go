@@ -111,13 +111,6 @@ func (m *Minia) Assemble(req assembler.Request) (assembler.Result, error) {
 	}, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // countingBloom is a 4-bit counting Bloom filter: counts saturate at
 // 15, which is ample for coverage cutoffs.
 type countingBloom struct {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -10,16 +8,10 @@ import (
 	"rnascale/internal/cloud"
 	"rnascale/internal/cluster"
 	"rnascale/internal/detonate"
-	"rnascale/internal/diffexpr"
 	"rnascale/internal/faults"
-	"rnascale/internal/journal"
-	"rnascale/internal/merge"
 	"rnascale/internal/obs"
 	"rnascale/internal/pilot"
-	"rnascale/internal/preprocess"
-	"rnascale/internal/quant"
 	"rnascale/internal/seq"
-	"rnascale/internal/sge"
 	"rnascale/internal/simdata"
 	"rnascale/internal/vclock"
 )
@@ -131,7 +123,11 @@ func Run(ds *simdata.Dataset, cfg Config) (*Report, error) {
 	return New(cfg).Run(ds)
 }
 
-// Run executes the pipeline.
+// Run executes the pipeline: the upload, then one loop over the stage
+// table (PA, PB, PC; see stages.go). The loop owns what every stage
+// shares — backend routing, the stage span, the cutoff check, vehicle
+// launch, unit submission and checking, and the one failure exit
+// after launch — and each descriptor supplies what differs.
 func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	// The journal epilogue: an injected drivercrash unwinds out of an
 	// arbitrary checkpoint and surfaces as DriverCrashError WITHOUT
@@ -185,550 +181,100 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 		Note: fmt.Sprintf("%.1f GB to cloud", float64(fs.SeqDataBytes)/1e9),
 	})
 
-	// --- PA: pre-processing ---
-	preModel := preprocess.DefaultCostModel()
-	paBackend, paFallback := pl.routeBackend(cfg.Backends.PA)
-	paType := cfg.InstanceType
-	if paBackend == cloud.Serverless {
-		paType = "serverless"
-	} else if cfg.Pattern == DistributedDynamic {
-		it, err := ChooseInstanceType(pl.provider, preModel.MemoryGB(fs), 8)
-		if err != nil {
-			return rep, err
-		}
-		paType = it.Name
-	}
-	shards := cfg.ParallelPreprocessShards
-	if shards < 1 {
-		shards = 1
-	}
-	paNodes := shards
-	if cfg.Pattern == Conventional {
-		// One pilot hosts everything: size it for the whole workflow
-		// up front (the pattern's defining inflexibility).
-		kmers := pl.kmerPlan(ds, nil)
-		if n := pl.assemblyNodes(kmers); n > paNodes {
-			paNodes = n
-		}
-	}
-	paScope := pl.beginStage("PA")
-	paScope.attr(obs.AttrInstanceType, paType)
-	paScope.attr(obs.AttrNodes, fmt.Sprintf("%d", paNodes))
-	if pl.cutoffReached() {
-		return pl.cutoffCancel(rep, paScope, "PA", "", pl.clock.Now())
-	}
-	pa, err := pl.firstStage("PA", paType, paNodes, paBackend)
-	if err != nil {
-		err = fmt.Errorf("core: launching PA: %w", err)
-		paScope.fail(err)
-		pl.teardown()
-		rep.finish(pl)
-		return rep, err
-	}
-
-	// Shard the raw reads (fragment-preserving) for data-parallel
-	// pre-processing; a single shard is the paper's stock single-VM PA.
-	shardReads := shardReadSet(ds.Reads, shards)
-	shardClean := make([]seq.ReadSet, shards)
-	shardStats := make([]preprocess.Stats, shards)
-	fsShard := fs
-	fsShard.SeqDataBytes = fs.SeqDataBytes / int64(shards)
-
-	paUM, err := pl.newRunner(pa, "PA")
-	if err != nil {
-		return rep, err
-	}
-	paStart := pl.clock.Now()
-	var paDescs []pilot.UnitDescription
-	for s := 0; s < shards; s++ {
-		s := s
-		paDescs = append(paDescs, pilot.UnitDescription{
-			Name:  fmt.Sprintf("preprocess-%d", s),
-			Slots: min(pa.cores(), 8),
-			Rule:  sge.SingleNode,
-			Retry: cfg.Retry.PA,
-			Work: pl.jr.unit("PA", fmt.Sprintf("preprocess-%d", s),
-				func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-					shardClean[s], shardStats[s] = preprocess.Run(shardReads[s], cfg.Preprocess)
-					return pilot.WorkResult{
-						Duration:     preModel.Duration(fsShard, env.Slots),
-						PeakMemoryGB: preModel.MemoryGB(fsShard),
-					}, nil
-				},
-				unitCodec{
-					encode: func(pilot.WorkResult) (json.RawMessage, error) {
-						return json.Marshal(paPayload{
-							Shard: s, Reads: shardClean[s].Reads,
-							Paired: shardClean[s].Paired, Stats: shardStats[s],
-						})
-					},
-					replay: func(rec journal.Record, _ *pilot.ExecEnv) (pilot.WorkResult, error) {
-						var p paPayload
-						if err := json.Unmarshal(rec.Payload, &p); err != nil {
-							return pilot.WorkResult{}, err
-						}
-						shardClean[s] = seq.ReadSet{Reads: p.Reads, Paired: p.Paired}
-						shardStats[s] = p.Stats
-						return pilot.WorkResult{}, nil
-					},
-				}),
-		})
-	}
-	paUnits, err := paUM.Submit(paDescs)
-	if err != nil {
-		return rep, err
-	}
-	if err := paUM.Run(); err != nil {
-		return rep, err
-	}
-	for _, u := range paUnits {
-		if pl.canceledAtCutoff(u) {
-			return pl.cutoffCancel(rep, paScope, "PA", pa.id(), paStart, pa)
-		}
-		if u.State() != pilot.UnitDone {
-			rep.Stages = append(rep.Stages, StageReport{Name: "PA", Pilot: pa.id(), Start: paStart, End: pl.clock.Now(), Note: "FAILED"})
-			err := fmt.Errorf("core: PA pre-processing failed on %s: %w", paType, u.Err)
-			paScope.fail(err)
-			pl.teardown(pa)
-			rep.finish(pl)
-			return rep, err
-		}
-	}
-	cleaned := seq.ReadSet{Paired: ds.Reads.Paired}
-	var preStats preprocess.Stats
-	for s := 0; s < shards; s++ {
-		cleaned.Reads = append(cleaned.Reads, shardClean[s].Reads...)
-		preStats = combineStats(preStats, shardStats[s])
-	}
-	if preStats.OutputReads == 0 {
-		err := fmt.Errorf("core: pre-processing removed every read")
-		paScope.fail(err)
-		pl.teardown(pa)
-		rep.finish(pl)
-		return rep, err
-	}
-	pl.counter(MetricReadsProcessed, "Reads surviving pre-processing.", nil).
-		Add(float64(preStats.OutputReads))
-	pl.counter(MetricBasesProcessed, "Bases surviving pre-processing.", nil).
-		Add(float64(preStats.OutputBases))
-	var fq bytes.Buffer
-	if err := seq.WriteFastq(&fq, cleaned.Reads); err != nil {
-		return rep, err
-	}
-	if err := pa.store().Put("data/clean.fastq", fq.Bytes()); err != nil {
-		return rep, err
-	}
-	rep.PreStats = preStats
-	paScope.end()
-	rep.Stages = append(rep.Stages, StageReport{
-		Name: "PA", Pilot: pa.id(), Start: paStart, End: pl.clock.Now(),
-		Note: preStats.String() + paFallback,
-	})
-
-	// The k-mer plan is now known — the information the dynamic
-	// workflow waits for.
-	kmers := pl.kmerPlan(ds, &preStats)
-	rep.KmersUsed = kmers
-	asmFS := fs
-	asmFS.SeqDataBytes = fs.PostPreprocessBytes
-
-	// --- PB: multiple-k-mer, multi-assembler transcript assembly ---
-	pbBackend, pbFallback := pl.routeBackend(cfg.Backends.PB)
-	nodes := pl.assemblyNodes(kmers)
-	if pbBackend == cloud.Serverless {
-		// Functions are single one-core allocations: there is no
-		// assembly cluster to size.
-		nodes = 0
-	}
-	rep.AssemblyNodes = nodes
-	pbScope := pl.beginStage("PB")
-	pbScope.attr("kmers", fmt.Sprint(kmers))
-	pbScope.attr(obs.AttrNodes, fmt.Sprintf("%d", nodes))
-	if pl.cutoffReached() {
-		return pl.cutoffCancel(rep, pbScope, "PB", "", pl.clock.Now(), pa)
-	}
-	pb, transferNote, err := pl.nextStage("PB", pa, nodes, pbBackend, func() (string, error) {
-		// Instance choice for a fresh (S1) PB pilot.
-		if cfg.Pattern != DistributedDynamic {
-			return cfg.InstanceType, nil
-		}
-		need := assembler.GraphMemoryGB(asmFS, cfg.NodesPerMPIJob)
-		it, err := ChooseInstanceType(pl.provider, need, 8)
-		if err != nil {
-			return "", err
-		}
-		return it.Name, nil
-	}, fs.PostPreprocessBytes)
-	if err != nil {
-		err = fmt.Errorf("core: launching PB: %w", err)
-		pbScope.fail(err)
-		pl.teardown(pa)
-		rep.finish(pl)
-		return rep, err
-	}
-	pbScope.attr(obs.AttrInstanceType, pb.instanceName())
-
-	pbStart := pl.clock.Now()
-	pbUM, err := pl.newRunner(pb, "PB")
-	if err != nil {
-		return rep, err
-	}
-	cores := pb.cores()
-	type asmKey struct {
-		name string
-		k    int
-	}
-	outputs := map[asmKey][]seq.FastaRecord{}
-	var descs []pilot.UnitDescription
-	for _, name := range cfg.Assemblers {
-		name := name
-		a, _ := assembler.Get(name)
-		jobNodes := cfg.NodesPerMPIJob
-		rule := sge.SingleNode
-		if name == "contrail" {
-			jobNodes = cfg.ContrailNodes
-			rule = sge.FillUp
-		} else if !a.Info().MultiNode() {
-			jobNodes = 1
-		}
-		if jobNodes > 1 {
-			rule = sge.FillUp
-		}
-		if pbBackend == cloud.Serverless {
-			// A function invocation is one single-core allocation;
-			// multi-node MPI shapes don't exist on this backend, so the
-			// assembler runs sequentially and long jobs split into
-			// parallel pieces at the duration cap instead.
-			jobNodes = 1
-			rule = sge.SingleNode
-		}
-		for _, k := range kmers {
-			k := k
-			jobNodes := jobNodes
-			work := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-				extra := vclock.Duration(0)
-				jobReads := cleaned.Reads
-				if name == "contrail" {
-					// Contrail cannot handle N bases (the paper
-					// pre-processes P. Crispa for exactly this
-					// reason): feed it the N-free subset, via the
-					// SFA conversion the paper charges 1 min for.
-					jobReads = dropNReads(jobReads)
-					var buf bytes.Buffer
-					if err := seq.WriteSFA(&buf, jobReads); err != nil {
-						return pilot.WorkResult{}, err
-					}
-					if err := env.Store.Put(fmt.Sprintf("data/clean.k%d.sfa", k), buf.Bytes()); err != nil {
-						return pilot.WorkResult{}, err
-					}
-					extra = 60 * vclock.Second
+	// --- PA, PB, PC ---
+	d := &runData{ds: ds, rep: rep, outputs: map[asmKey][]seq.FastaRecord{}}
+	var vehicles []*stageExec // every vehicle launched so far
+	for _, st := range []stage{pl.preprocessStage(d), pl.assemblyStage(d), pl.postprocessStage(d)} {
+		backend, fallback := pl.routeBackend(cfg.Backends.For(st.name))
+		first := len(vehicles) == 0
+		// The first stage's flavour is chosen before it begins; later
+		// stages choose theirs in nextStage, if they boot fresh nodes.
+		var itype string
+		if first {
+			itype = "serverless"
+			if backend != cloud.Serverless {
+				if itype, err = instanceType(cfg, st.memGB); err != nil {
+					return rep, err
 				}
-				res, err := a.Assemble(assembler.Request{
-					Reads:        jobReads,
-					Params:       assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-					Nodes:        jobNodes,
-					CoresPerNode: cores,
-					FullScale:    asmFS,
-				})
-				if err != nil {
-					return pilot.WorkResult{}, err
-				}
-				outputs[asmKey{name, k}] = res.Contigs
-				var buf bytes.Buffer
-				if err := seq.WriteFasta(&buf, res.Contigs, 80); err != nil {
-					return pilot.WorkResult{}, err
-				}
-				if err := env.Store.Put(fmt.Sprintf("asm/%s/k%d.contigs.fa", name, k), buf.Bytes()); err != nil {
-					return pilot.WorkResult{}, err
-				}
-				return pilot.WorkResult{
-					Duration:     res.TTC + extra,
-					PeakMemoryGB: res.PeakMemoryGBPerNode,
-					Output:       asmOutput{name: name, k: k, res: res},
-				}, nil
 			}
-			codec := unitCodec{
-				encode: func(res pilot.WorkResult) (json.RawMessage, error) {
-					out := res.Output.(asmOutput)
-					return json.Marshal(pbPayload{
-						Assembler: out.name, K: out.k, Contigs: out.res.Contigs,
-						TTCSeconds:          float64(out.res.TTC),
-						PeakMemoryGBPerNode: out.res.PeakMemoryGBPerNode,
-						Messages:            out.res.Messages,
-						BytesSent:           out.res.BytesSent,
-						N50:                 out.res.N50,
-					})
-				},
-				replay: func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error) {
-					var p pbPayload
-					if err := json.Unmarshal(rec.Payload, &p); err != nil {
-						return pilot.WorkResult{}, err
-					}
-					if p.Assembler == "contrail" {
-						// Re-derive the SFA conversion the original unit
-						// staged, so the shared store's contents match.
-						var buf bytes.Buffer
-						if err := seq.WriteSFA(&buf, dropNReads(cleaned.Reads)); err != nil {
-							return pilot.WorkResult{}, err
-						}
-						if err := env.Store.Put(fmt.Sprintf("data/clean.k%d.sfa", p.K), buf.Bytes()); err != nil {
-							return pilot.WorkResult{}, err
-						}
-					}
-					outputs[asmKey{p.Assembler, p.K}] = p.Contigs
-					var buf bytes.Buffer
-					if err := seq.WriteFasta(&buf, p.Contigs, 80); err != nil {
-						return pilot.WorkResult{}, err
-					}
-					if err := env.Store.Put(fmt.Sprintf("asm/%s/k%d.contigs.fa", p.Assembler, p.K), buf.Bytes()); err != nil {
-						return pilot.WorkResult{}, err
-					}
-					res := assembler.Result{
-						Contigs:             p.Contigs,
-						TTC:                 vclock.Duration(p.TTCSeconds),
-						PeakMemoryGBPerNode: p.PeakMemoryGBPerNode,
-						Messages:            p.Messages,
-						BytesSent:           p.BytesSent,
-						N50:                 p.N50,
-					}
-					return pilot.WorkResult{Output: asmOutput{name: p.Assembler, k: p.K, res: res}}, nil
-				},
-			}
-			descs = append(descs, pilot.UnitDescription{
-				Name:  fmt.Sprintf("%s-k%d", name, k),
-				Slots: jobNodes * cores,
-				Rule:  rule,
-				Retry: cfg.Retry.PB,
-				Work:  pl.jr.unit("PB", fmt.Sprintf("%s-k%d", name, k), work, codec),
-			})
 		}
-	}
-	pbUnits, err := pbUM.Submit(descs)
-	if err != nil {
-		return rep, err
-	}
-	if err := pbUM.Run(); err != nil {
-		return rep, err
-	}
-	for _, u := range pbUnits {
-		if pl.canceledAtCutoff(u) {
-			return pl.cutoffCancel(rep, pbScope, "PB", pb.id(), pbStart, pa, pb)
+		sc := pl.beginStage(st.name)
+		nodes := st.size(sc, backend)
+		if first {
+			sc.attr(obs.AttrInstanceType, itype)
 		}
-		if u.State() != pilot.UnitDone {
-			rep.Stages = append(rep.Stages, StageReport{Name: "PB", Pilot: pb.id(), Start: pbStart, End: pl.clock.Now(), Note: "FAILED"})
-			err := fmt.Errorf("core: PB unit %s failed: %w", u.ID, u.Err)
-			pbScope.fail(err)
-			pl.teardown(pa, pb)
-			rep.finish(pl)
-			return rep, err
+		sc.attr(obs.AttrNodes, fmt.Sprintf("%d", nodes))
+		if pl.cutoffReached() {
+			return pl.cutoffCancel(rep, sc, st.name, "", pl.clock.Now(), vehicles...)
 		}
-		out := u.Result.Output.(asmOutput)
-		rep.Assemblies = append(rep.Assemblies, AssemblyReport{
-			Assembler: out.name, K: out.k,
-			Contigs: len(out.res.Contigs), N50: out.res.N50,
-			TTC: out.res.TTC, MemoryGB: out.res.PeakMemoryGBPerNode,
-		})
-		if out.res.Messages > 0 || out.res.BytesSent > 0 {
-			labels := obs.Labels{"assembler": out.name} //rnavet:allow metriccard — out.name is one of the registered assembler names (Assemblers()), a closed set
-			pl.counter(MetricAssemblerMessages, "MPI/MapReduce messages sent by distributed assemblers.", labels).
-				Add(float64(out.res.Messages))
-			pl.counter(MetricAssemblerBytesSent, "MPI/MapReduce bytes sent by distributed assemblers.", labels).
-				Add(float64(out.res.BytesSent))
-		}
-	}
-	pbScope.end()
-	pbNote := fmt.Sprintf("%d assembly jobs on %d nodes%s%s", len(pbUnits), nodes, transferNote, pbFallback)
-	if pb.faas != nil {
-		pbNote = fmt.Sprintf("%d assembly jobs as functions%s", len(pbUnits), transferNote)
-	}
-	rep.Stages = append(rep.Stages, StageReport{
-		Name: "PB", Pilot: pb.id(), Start: pbStart, End: pl.clock.Now(),
-		Note: pbNote,
-	})
-
-	// --- PC: post-processing, quantification ---
-	postModel := quant.DefaultCostModel()
-	var pbOutBytes int64
-	for _, set := range outputs {
-		for _, c := range set {
-			pbOutBytes += int64(len(c.Seq)) + int64(len(c.ID)) + 2
-		}
-	}
-	pcBackend, pcFallback := pl.routeBackend(cfg.Backends.PC)
-	pcScope := pl.beginStage("PC")
-	pcScope.attr(obs.AttrNodes, "1")
-	if pl.cutoffReached() {
-		return pl.cutoffCancel(rep, pcScope, "PC", "", pl.clock.Now(), pa, pb)
-	}
-	pc, pcTransferNote, err := pl.nextStage("PC", pb, 1, pcBackend, func() (string, error) {
-		if cfg.Pattern != DistributedDynamic {
-			return cfg.InstanceType, nil
-		}
-		it, err := ChooseInstanceType(pl.provider, postModel.MemoryGB(fs), 8)
-		if err != nil {
-			return "", err
-		}
-		return it.Name, nil
-	}, pbOutBytes)
-	if err != nil {
-		err = fmt.Errorf("core: launching PC: %w", err)
-		pcScope.fail(err)
-		pl.teardown(pa, pb)
-		rep.finish(pl)
-		return rep, err
-	}
-	pcScope.attr(obs.AttrInstanceType, pc.instanceName())
-	pcStart := pl.clock.Now()
-	pcUM, err := pl.newRunner(pc, "PC")
-	if err != nil {
-		return rep, err
-	}
-	pcWork := func(env *pilot.ExecEnv) (pilot.WorkResult, error) {
-		// Merge each assembler's multi-k sets, then the MAMP union
-		// (optionally with cross-assembler consensus validation).
-		var all [][]seq.FastaRecord
-		for _, name := range cfg.Assemblers {
-			var sets [][]seq.FastaRecord
-			for _, k := range kmers {
-				sets = append(sets, outputs[asmKey{name, k}])
-			}
-			perTool, _ := merge.Merge(sets, merge.DefaultOptions())
-			rep.PerAssembler[name] = perTool
-			all = append(all, perTool)
-		}
-		var final []seq.FastaRecord
-		if cfg.ConsensusMerge && len(all) >= 2 {
-			f, cs, err := merge.ConsensusMerge(all, merge.DefaultConsensusOptions())
-			if err != nil {
-				return pilot.WorkResult{}, err
-			}
-			final = f
-			rep.MergeStats = cs.Stats
+		var sx *stageExec
+		var moved string
+		if first {
+			sx, err = pl.firstStage(st.name, itype, nodes, backend)
 		} else {
-			f, mstats := merge.Merge(all, merge.DefaultOptions())
-			final = f
-			rep.MergeStats = mstats
+			sx, moved, err = pl.nextStage(st.name, vehicles[len(vehicles)-1], nodes, backend, st.memGB, st.migrate())
 		}
-		rep.Transcripts = final
-		var buf bytes.Buffer
-		if err := seq.WriteFasta(&buf, final, 80); err != nil {
-			return pilot.WorkResult{}, err
-		}
-		if err := env.Store.Put("post/transcripts.fa", buf.Bytes()); err != nil {
-			return pilot.WorkResult{}, err
-		}
-		q, err := quant.Quantify(final, cleaned.Reads, quant.DefaultOptions())
 		if err != nil {
-			return pilot.WorkResult{}, err
+			return pl.abort(rep, sc, fmt.Errorf("core: launching %s: %w", st.name, err), vehicles)
 		}
-		rep.Quant = q
-		dur := postModel.Duration(fs, env.Slots)
-		if cfg.ConditionB != nil {
-			// Optional differential-expression step: clean and
-			// quantify the second condition, then test — charged as
-			// a second quantification pass.
-			cleanB, _ := preprocess.Run(*cfg.ConditionB, cfg.Preprocess)
-			qb, err := quant.Quantify(final, cleanB.Reads, quant.DefaultOptions())
-			if err != nil {
-				return pilot.WorkResult{}, err
-			}
-			rep.QuantB = qb
-			ids := make([]string, len(final))
-			ca := make([]int64, len(final))
-			cb := make([]int64, len(final))
-			idx := map[string]int{}
-			for i, tx := range final {
-				ids[i] = tx.ID
-				idx[tx.ID] = i
-			}
-			for _, a := range q.Abundances {
-				ca[idx[a.ID]] = a.Count
-			}
-			for _, a := range qb.Abundances {
-				cb[idx[a.ID]] = a.Count
-			}
-			rows, err := diffexpr.Test(ids, ca, cb, diffexpr.DefaultOptions())
-			if err != nil {
-				return pilot.WorkResult{}, fmt.Errorf("differential expression: %w", err)
-			}
-			rep.DiffExpr = rows
-			dur += postModel.Duration(fs, env.Slots)
+		vehicles = append(vehicles, sx)
+		sc.attr(obs.AttrInstanceType, sx.instanceName())
+
+		// After launch there is one failure exit: a FAILED row, the
+		// failed span, teardown and the stamped partial report.
+		start := pl.clock.Now()
+		fail := func(err error) (*Report, error) {
+			rep.Stages = append(rep.Stages, StageReport{Name: st.name, Pilot: sx.id(), Start: start, End: pl.clock.Now(), Note: "FAILED"})
+			return pl.abort(rep, sc, err, vehicles)
 		}
-		return pilot.WorkResult{
-			Duration:     dur,
-			PeakMemoryGB: postModel.MemoryGB(fs),
-		}, nil
-	}
-	pcCodec := unitCodec{
-		encode: func(pilot.WorkResult) (json.RawMessage, error) {
-			return json.Marshal(pcPayload{
-				PerAssembler: rep.PerAssembler,
-				Transcripts:  rep.Transcripts,
-				MergeStats:   rep.MergeStats,
-				Quant:        rep.Quant,
-				QuantB:       rep.QuantB,
-				DiffExpr:     rep.DiffExpr,
+		runner, err := pl.newRunner(sx, st.name)
+		if err != nil {
+			return fail(err)
+		}
+		var descs []pilot.UnitDescription
+		for _, u := range st.units(sx) {
+			descs = append(descs, pilot.UnitDescription{
+				Name: u.name, Slots: u.slots, Rule: u.rule, Retry: st.retry,
+				Work: pl.jr.unit(st.name, u.name, u.work, u.codec),
 			})
-		},
-		replay: func(rec journal.Record, env *pilot.ExecEnv) (pilot.WorkResult, error) {
-			var p pcPayload
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				return pilot.WorkResult{}, err
+		}
+		units, err := runner.Submit(descs)
+		if err != nil {
+			return fail(err)
+		}
+		if err := runner.Run(); err != nil {
+			return fail(err)
+		}
+		for _, u := range units {
+			if pl.canceledAtCutoff(u) {
+				return pl.cutoffCancel(rep, sc, st.name, sx.id(), start, vehicles...)
 			}
-			rep.PerAssembler = p.PerAssembler
-			rep.Transcripts = p.Transcripts
-			rep.MergeStats = p.MergeStats
-			rep.Quant = p.Quant
-			rep.QuantB = p.QuantB
-			rep.DiffExpr = p.DiffExpr
-			var buf bytes.Buffer
-			if err := seq.WriteFasta(&buf, p.Transcripts, 80); err != nil {
-				return pilot.WorkResult{}, err
+			if u.State() != pilot.UnitDone {
+				return fail(st.failed(sx, u))
 			}
-			if err := env.Store.Put("post/transcripts.fa", buf.Bytes()); err != nil {
-				return pilot.WorkResult{}, err
+			if st.fold != nil {
+				st.fold(u)
 			}
-			return pilot.WorkResult{}, nil
-		},
+		}
+		note, err := st.collect(sx, units)
+		if err != nil {
+			return fail(err)
+		}
+		sc.end()
+		rep.Stages = append(rep.Stages, StageReport{
+			Name: st.name, Pilot: sx.id(), Start: start, End: pl.clock.Now(),
+			Note: note + moved + fallback,
+		})
 	}
-	pcUnits, err := pcUM.Submit([]pilot.UnitDescription{{
-		Name:  "postprocess",
-		Slots: min(pc.cores(), 8),
-		Rule:  sge.SingleNode,
-		Retry: cfg.Retry.PC,
-		Work:  pl.jr.unit("PC", "postprocess", pcWork, pcCodec),
-	}})
-	if err != nil {
-		return rep, err
-	}
-	if err := pcUM.Run(); err != nil {
-		return rep, err
-	}
-	if pl.canceledAtCutoff(pcUnits[0]) {
-		return pl.cutoffCancel(rep, pcScope, "PC", pc.id(), pcStart, pa, pb, pc)
-	}
-	if st := pcUnits[0].State(); st != pilot.UnitDone {
-		rep.Stages = append(rep.Stages, StageReport{Name: "PC", Pilot: pc.id(), Start: pcStart, End: pl.clock.Now(), Note: "FAILED"})
-		err := fmt.Errorf("core: PC post-processing failed: %w", pcUnits[0].Err)
-		pcScope.fail(err)
-		pl.teardown(pa, pb, pc)
-		rep.finish(pl)
-		return rep, err
-	}
-	pcScope.end()
-	rep.Stages = append(rep.Stages, StageReport{
-		Name: "PC", Pilot: pc.id(), Start: pcStart, End: pl.clock.Now(),
-		Note: rep.MergeStats.String() + pcTransferNote + pcFallback,
-	})
 
 	// --- Wrap up: terminate everything, bill, evaluate ---
-	pl.teardown(pa, pb, pc)
+	pl.teardown(vehicles...)
 	rep.Outcome = OutcomeComplete
 	rep.finish(pl)
 
 	if cfg.EvaluateAgainstTruth {
 		opts := detonate.DefaultOptions()
-		opts.ReadBases = cleaned.TotalBases()
+		opts.ReadBases = d.cleaned.TotalBases()
 		// Score against the gene-annotation track when present — the
 		// paper evaluates against predicted protein gene sequences,
 		// not full mRNAs.
@@ -745,27 +291,14 @@ func (pl *Pipeline) Run(ds *simdata.Dataset) (rep *Report, err error) {
 	return rep, nil
 }
 
-// kmerPlan resolves the multiple-k-mer plan.
-func (pl *Pipeline) kmerPlan(ds *simdata.Dataset, st *preprocess.Stats) []int {
-	if len(pl.cfg.Kmers) > 0 {
-		return pl.cfg.Kmers
-	}
-	if len(ds.Profile.FullScale.AssemblyKmers) > 0 {
-		return ds.Profile.FullScale.AssemblyKmers
-	}
-	mean := float64(ds.Profile.ReadLen)
-	if st != nil && st.MeanReadLen > 0 {
-		mean = st.MeanReadLen
-	}
-	return preprocess.KmerPlan(mean, ds.Profile.ReadLen)
-}
-
-// assemblyNodes resolves the PB cluster size.
-func (pl *Pipeline) assemblyNodes(kmers []int) int {
-	if pl.cfg.AssemblyNodesOverride > 0 {
-		return pl.cfg.AssemblyNodesOverride
-	}
-	return AssemblyNodesFor(kmers, pl.cfg.Assemblers, pl.cfg.NodesPerMPIJob, pl.cfg.ContrailNodes)
+// abort ends a run at a stage failure: the stage span fails, every
+// vehicle launched so far tears down, and the partial report is
+// stamped and returned with the error.
+func (pl *Pipeline) abort(rep *Report, sc *stageScope, err error, sxs []*stageExec) (*Report, error) {
+	sc.fail(err)
+	pl.teardown(sxs...)
+	rep.finish(pl)
+	return rep, err
 }
 
 // stageExec is the execution vehicle for one pipeline stage: a
@@ -934,10 +467,11 @@ func (pl *Pipeline) release(sx *stageExec, terminateVMs bool) error {
 // nextStage provisions the execution vehicle for the next stage
 // according to the matching scheme, workflow pattern and requested
 // backend, migrating `stageBytes` of data from the previous stage's
-// store. It returns the vehicle and a human-readable note about any
+// store. Fresh nodes get the flavour instanceType picks for memGB per
+// node. It returns the vehicle and a human-readable note about any
 // data transfer performed.
 func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend cloud.Backend,
-	chooseType func() (string, error), stageBytes int64) (*stageExec, string, error) {
+	memGB float64, stageBytes int64) (*stageExec, string, error) {
 
 	if pl.cfg.Pattern == Conventional {
 		// Single-pilot workflow: reuse the original pilot untouched.
@@ -993,7 +527,7 @@ func (pl *Pipeline) nextStage(name string, prev *stageExec, nodes int, backend c
 	}
 	// S1 — or the previous stage ran serverless, leaving no VMs to
 	// reuse: boot fresh nodes on the requested backend.
-	itype, err := chooseType()
+	itype, err := instanceType(pl.cfg, memGB)
 	if err != nil {
 		return nil, "", err
 	}
@@ -1048,64 +582,4 @@ func copyStore(src, dst *cluster.SharedStore) {
 	for _, path := range src.List("") {
 		_, _ = src.CopyTo(dst, path)
 	}
-}
-
-// asmOutput threads an assembly unit's identity and result through
-// the pilot framework's opaque output slot.
-type asmOutput struct {
-	name string
-	k    int
-	res  assembler.Result
-}
-
-// shardReadSet splits reads into n fragment-preserving shards by
-// round-robin over fragments.
-func shardReadSet(rs seq.ReadSet, n int) []seq.ReadSet {
-	out := make([]seq.ReadSet, n)
-	for i := range out {
-		out[i].Paired = rs.Paired
-	}
-	stride := 1
-	if rs.Paired {
-		stride = 2
-	}
-	for f := 0; f*stride < len(rs.Reads); f++ {
-		s := f % n
-		out[s].Reads = append(out[s].Reads, rs.Reads[f*stride:min((f+1)*stride, len(rs.Reads))]...)
-	}
-	return out
-}
-
-// combineStats folds per-shard pre-processing statistics.
-func combineStats(a, b preprocess.Stats) preprocess.Stats {
-	a.InputReads += b.InputReads
-	a.OutputReads += b.OutputReads
-	a.InputBases += b.InputBases
-	a.OutputBases += b.OutputBases
-	a.TrimmedBases += b.TrimmedBases
-	a.DroppedNRich += b.DroppedNRich
-	a.DroppedShort += b.DroppedShort
-	a.DroppedDup += b.DroppedDup
-	if a.OutputReads > 0 {
-		a.MeanReadLen = float64(a.OutputBases) / float64(a.OutputReads)
-	}
-	return a
-}
-
-// dropNReads filters reads containing ambiguous bases.
-func dropNReads(reads []seq.Read) []seq.Read {
-	out := make([]seq.Read, 0, len(reads))
-	for _, r := range reads {
-		if seq.CountN(r.Seq) == 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -69,178 +69,17 @@ func (o Objective) String() string {
 }
 
 // Predict estimates the stage durations and bill of running cfg on
-// the dataset, using the same cost models the simulation uses but no
-// computation. Accuracy against Run is validated in tests (the MPI
-// estimates land within a few percent; Contrail within tens of
-// percent).
+// the dataset, using the same cost models and sizing rules the
+// simulation uses but no computation. It walks the workflow stage by
+// stage in absolute virtual time (spot prices are time-dependent),
+// pricing VM stages per window on their market and serverless stages
+// per invocation, and inflates spot plans by the market's expected
+// reclaim count (each reclaim costs one replacement boot). The
+// estimate is RNG-free and deterministic: the spot walk it integrates
+// over is the same memoized price walk the run will see. Accuracy
+// against Run is bounded in tests.
 func Predict(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Backends != (StageBackends{}) {
-		// The per-stage backend dimension needs the general timeline
-		// model; the default all-on-demand path keeps the original
-		// closed-form estimate (validated against Run to a few percent).
-		return predictBackends(ds, cfg)
-	}
-	fs := ds.Profile.FullScale
-	copts := cloud.DefaultOptions()
-	if cfg.Cloud != nil {
-		copts = *cfg.Cloud
-	}
-	clopts := cluster.DefaultOptions()
-	plan := Plan{Config: cfg}
-
-	// Instance type (mirrors Run's dynamic choice for PA; S2 keeps it
-	// for every stage).
-	preModel := preprocess.DefaultCostModel()
-	itName := cfg.InstanceType
-	if cfg.Pattern == DistributedDynamic {
-		it, err := ChooseInstanceType(cloud.NewProvider(vclock.NewClock(0), copts), preModel.MemoryGB(fs), 8)
-		if err != nil {
-			return plan, err
-		}
-		itName = it.Name
-	}
-	it, err := cloud.NewProvider(vclock.NewClock(0), copts).LookupType(itName)
-	if err != nil {
-		return plan, err
-	}
-	plan.InstanceType = it.Name
-	cores := it.Cores
-
-	// Memory feasibility (the prediction-time Table IV check).
-	shards := cfg.ParallelPreprocessShards
-	if shards < 1 {
-		shards = 1
-	}
-	fsShard := fs
-	fsShard.SeqDataBytes /= int64(shards)
-	if preModel.MemoryGB(fsShard) > it.MemoryGB {
-		return plan, fmt.Errorf("core: plan infeasible: pre-processing needs %.1f GB, %s offers %.1f GB",
-			preModel.MemoryGB(fsShard), it.Name, it.MemoryGB)
-	}
-
-	// Stage 0: upload.
-	plan.Transfer = copts.Ingress.Transfer(fs.SeqDataBytes)
-
-	// PA: boot + configure + (sharded) cleaning.
-	boot := copts.BootLatency + clopts.ConfigPerNode
-	plan.PA = preModel.Duration(fsShard, min(cores, 8))
-
-	// PB: predict each assembly job and list-schedule them on the PB
-	// cluster exactly as SGE will.
-	kmers := cfg.Kmers
-	if len(kmers) == 0 {
-		kmers = fs.AssemblyKmers
-	}
-	if len(kmers) == 0 {
-		kmers = preprocess.KmerPlan(float64(ds.Profile.ReadLen), ds.Profile.ReadLen)
-	}
-	nodes := cfg.AssemblyNodesOverride
-	if nodes <= 0 {
-		nodes = AssemblyNodesFor(kmers, cfg.Assemblers, cfg.NodesPerMPIJob, cfg.ContrailNodes)
-	}
-	plan.AssemblyNodes = nodes
-	asmFS := fs
-	asmFS.SeqDataBytes = fs.PostPreprocessBytes
-
-	specs := make([]sge.NodeSpec, nodes)
-	for i := range specs {
-		specs[i] = sge.NodeSpec{Name: fmt.Sprintf("n%03d", i), Slots: cores, MemoryGB: it.MemoryGB}
-	}
-	sched, err := sge.New(specs)
-	if err != nil {
-		return plan, err
-	}
-	for _, name := range cfg.Assemblers {
-		a, err := assembler.Get(name)
-		if err != nil {
-			return plan, err
-		}
-		est, ok := a.(assembler.TTCEstimator)
-		if !ok {
-			return plan, fmt.Errorf("core: %s offers no TTC estimation", name)
-		}
-		jobNodes := cfg.NodesPerMPIJob
-		rule := sge.SingleNode
-		if name == "contrail" {
-			jobNodes = cfg.ContrailNodes
-		} else if !a.Info().MultiNode() {
-			jobNodes = 1
-		}
-		if jobNodes > 1 {
-			rule = sge.FillUp
-		}
-		for _, k := range kmers {
-			d, err := est.EstimateTTC(assembler.Request{
-				Params: assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-				Nodes:  jobNodes, CoresPerNode: cores,
-				FullScale: asmFS,
-			})
-			if err != nil {
-				return plan, fmt.Errorf("core: estimating %s k=%d: %w", name, k, err)
-			}
-			// Memory feasibility per job.
-			if mem := assembler.GraphMemoryGB(asmFS, jobNodes); mem > it.MemoryGB {
-				return plan, fmt.Errorf("core: plan infeasible: %s needs %.1f GB/node on %d node(s), %s offers %.1f GB",
-					name, mem, jobNodes, it.Name, it.MemoryGB)
-			}
-			if name == "contrail" {
-				d += 60 * vclock.Second // SFA conversion
-			}
-			if _, err := sched.Submit(sge.JobSpec{
-				Name: fmt.Sprintf("%s-k%d", name, k), Slots: jobNodes * cores,
-				Rule: rule, Duration: d,
-			}, 0); err != nil {
-				return plan, err
-			}
-		}
-	}
-	plan.PB = vclock.Duration(sched.Makespan())
-
-	// PC: merging + quantification (twice with a second condition).
-	postModel := quant.DefaultCostModel()
-	plan.PC = postModel.Duration(fs, min(cores, 8))
-	if cfg.ConditionB != nil {
-		plan.PC *= 2
-	}
-
-	// Assemble the timeline and the bill, scheme-dependent.
-	growBoot := boot // booting the PB workers
-	var interTransfer vclock.Duration
-	if cfg.Scheme == S1 && cfg.Pattern != Conventional {
-		interTransfer = copts.InterNode.Transfer(fs.PostPreprocessBytes)
-	}
-	plan.TTC = plan.Transfer + boot + plan.PA + growBoot + interTransfer + plan.PB + plan.PC
-
-	// Bill: one node across the whole run plus (nodes-1) across the PB
-	// window (plus its boot). This matches both schemes to first
-	// order; S1's extra boots shift a few minutes between lines.
-	price := it.PricePerHour
-	fullWindow := plan.TTC - plan.Transfer
-	pbWindow := vclock.Duration(growBoot) + plan.PB
-	plan.CostUSD = price*fullWindow.Hours()*float64(max(1, shards)) +
-		price*pbWindow.Hours()*float64(nodes-1)
-	// Avoid double-counting the PA shards beyond the head node during
-	// the non-PA window: refine to head (full) + extra shards (PA
-	// window) + workers (PB window).
-	if shards > 1 {
-		plan.CostUSD = price*fullWindow.Hours() +
-			price*(vclock.Duration(boot)+plan.PA).Hours()*float64(shards-1) +
-			price*pbWindow.Hours()*float64(nodes-1)
-	}
-	return plan, nil
-}
-
-// predictBackends is the general timeline model behind Predict for
-// configurations with a non-default per-stage backend assignment. It
-// walks the workflow stage by stage in absolute virtual time (spot
-// prices are time-dependent), pricing VM stages per window on their
-// market and serverless stages per invocation, and inflates spot plans
-// by the market's expected reclaim count (each reclaim costs one
-// replacement boot). The estimate is RNG-free and deterministic: the
-// spot walk it integrates over is the same memoized price walk the run
-// will see.
-func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	fs := ds.Profile.FullScale
 	copts := cloud.DefaultOptions()
 	if cfg.Cloud != nil {
@@ -267,15 +106,15 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		so = copts.Serverless.WithDefaults()
 	}
 
-	// Instance type (mirrors Run's dynamic choice for PA).
+	// Instance type (mirrors Run's choice for PA).
 	preModel := preprocess.DefaultCostModel()
 	itName := cfg.InstanceType
-	if cfg.Pattern == DistributedDynamic && b.PA != cloud.Serverless {
-		it, err := ChooseInstanceType(cloud.NewProvider(vclock.NewClock(0), copts), preModel.MemoryGB(fs), 8)
+	if b.PA != cloud.Serverless {
+		name, err := instanceType(cfg, preModel.MemoryGB(fs))
 		if err != nil {
 			return plan, err
 		}
-		itName = it.Name
+		itName = name
 	}
 	it, err := cloud.NewProvider(vclock.NewClock(0), copts).LookupType(itName)
 	if err != nil {
@@ -286,10 +125,7 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	price := it.PricePerHour
 	boot := copts.BootLatency + clopts.ConfigPerNode
 
-	shards := cfg.ParallelPreprocessShards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := preprocessShards(cfg)
 	fsShard := fs
 	fsShard.SeqDataBytes /= int64(shards)
 
@@ -330,17 +166,8 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	t = t.Add(plan.Transfer)
 
 	// K-mer plan and PB sizing, needed up front for Conventional.
-	kmers := cfg.Kmers
-	if len(kmers) == 0 {
-		kmers = fs.AssemblyKmers
-	}
-	if len(kmers) == 0 {
-		kmers = preprocess.KmerPlan(float64(ds.Profile.ReadLen), ds.Profile.ReadLen)
-	}
-	nodes := cfg.AssemblyNodesOverride
-	if nodes <= 0 {
-		nodes = AssemblyNodesFor(kmers, cfg.Assemblers, cfg.NodesPerMPIJob, cfg.ContrailNodes)
-	}
+	kmers := kmerPlan(cfg, ds.Profile, 0)
+	nodes := assemblyNodes(cfg, kmers)
 	asmFS := fs
 	asmFS.SeqDataBytes = fs.PostPreprocessBytes
 
@@ -358,29 +185,28 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 			return plan, fmt.Errorf("core: plan infeasible: pre-processing needs %.1f GB, %s offers %.1f GB",
 				paMem, it.Name, it.MemoryGB)
 		}
-		paNodes := shards
-		if cfg.Pattern == Conventional && nodes > paNodes {
-			paNodes = nodes // one cluster sized for the whole workflow
-		}
 		start := t
 		t = t.Add(boot)
-		plan.PA = preModel.Duration(fsShard, min(cores, 8))
+		plan.PA = preModel.Duration(fsShard, stageSlots(cores))
 		t = t.Add(plan.PA)
 		if cfg.Pattern != Conventional {
-			cost += vmWindow(b.PA, paNodes, start, t)
-		} else {
-			_ = paNodes // Conventional bills the whole run in one window below.
+			// Conventional bills the whole run in one window below.
+			cost += vmWindow(b.PA, shards, start, t)
 		}
 	}
 
 	// PB: per-job estimates, then either an SGE schedule on the cluster
 	// or an all-parallel function burst.
 	type jobEst struct {
-		name     string
-		jobNodes int
-		rule     sge.AllocationRule
-		d        vclock.Duration
-		memGB    float64
+		name  string
+		shape jobShape
+		d     vclock.Duration
+		memGB float64
+	}
+	serverlessPB := b.PB == cloud.Serverless
+	jobCores := cores
+	if serverlessPB {
+		jobCores = 1
 	}
 	var jobs []jobEst
 	for _, name := range cfg.Assemblers {
@@ -392,55 +218,35 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		if !ok {
 			return plan, fmt.Errorf("core: %s offers no TTC estimation", name)
 		}
-		jobNodes := cfg.NodesPerMPIJob
-		rule := sge.SingleNode
-		if name == "contrail" {
-			jobNodes = cfg.ContrailNodes
-		} else if !a.Info().MultiNode() {
-			jobNodes = 1
-		}
-		if jobNodes > 1 {
-			rule = sge.FillUp
-		}
-		jobCores := cores
-		if b.PB == cloud.Serverless {
-			jobNodes, jobCores, rule = 1, 1, sge.SingleNode
-		}
+		shape := assemblyJob(cfg, name, a, serverlessPB)
 		for _, k := range kmers {
 			d, err := est.EstimateTTC(assembler.Request{
 				Params: assembler.Params{K: k, MinCoverage: cfg.MinCoverage},
-				Nodes:  jobNodes, CoresPerNode: jobCores,
+				Nodes:  shape.nodes, CoresPerNode: jobCores,
 				FullScale: asmFS,
 			})
 			if err != nil {
 				return plan, fmt.Errorf("core: estimating %s k=%d: %w", name, k, err)
 			}
-			if name == "contrail" {
-				d += 60 * vclock.Second // SFA conversion
-			}
-			jobs = append(jobs, jobEst{name: name, jobNodes: jobNodes, rule: rule, d: d,
-				memGB: assembler.GraphMemoryGB(asmFS, jobNodes)})
+			jobs = append(jobs, jobEst{name: name, shape: shape, d: d + shape.extra,
+				memGB: assembler.GraphMemoryGB(asmFS, shape.nodes)})
 		}
 	}
-	if b.PB == cloud.Serverless {
+	if serverlessPB {
 		nodes = 0
-		plan.AssemblyNodes = 0
 		var wall vclock.Duration
 		for _, j := range jobs {
 			w, err := fnStage(j.name+" assembly", 1, j.d, j.memGB)
 			if err != nil {
 				return plan, err
 			}
-			if w > wall {
-				wall = w
-			}
+			wall = max(wall, w)
 		}
 		// The PB inputs migrate to the object store first.
 		d := copts.InterNode.Transfer(fs.PostPreprocessBytes)
 		plan.PB = wall
 		t = t.Add(d).Add(wall)
 	} else {
-		plan.AssemblyNodes = nodes
 		specs := make([]sge.NodeSpec, nodes)
 		for i := range specs {
 			specs[i] = sge.NodeSpec{Name: fmt.Sprintf("n%03d", i), Slots: cores, MemoryGB: it.MemoryGB}
@@ -452,10 +258,10 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 		for _, j := range jobs {
 			if j.memGB > it.MemoryGB {
 				return plan, fmt.Errorf("core: plan infeasible: %s needs %.1f GB/node on %d node(s), %s offers %.1f GB",
-					j.name, j.memGB, j.jobNodes, it.Name, it.MemoryGB)
+					j.name, j.memGB, j.shape.nodes, it.Name, it.MemoryGB)
 			}
 			if _, err := sched.Submit(sge.JobSpec{
-				Name: j.name, Slots: j.jobNodes * cores, Rule: j.rule, Duration: j.d,
+				Name: j.name, Slots: j.shape.nodes * cores, Rule: j.shape.rule, Duration: j.d,
 			}, 0); err != nil {
 				return plan, err
 			}
@@ -473,16 +279,17 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 			cost += vmWindow(b.PB, nodes, start, t)
 		}
 	}
+	plan.AssemblyNodes = nodes
 
 	// PC.
 	postModel := quant.DefaultCostModel()
 	pcMem := postModel.MemoryGB(fs)
-	pcRuns := 1
+	pcRuns := vclock.Duration(1)
 	if cfg.ConditionB != nil {
 		pcRuns = 2
 	}
 	if b.PC == cloud.Serverless {
-		wall, err := fnStage("post-processing", 1, postModel.Duration(fs, 1)*vclock.Duration(pcRuns), pcMem)
+		wall, err := fnStage("post-processing", 1, postModel.Duration(fs, 1)*pcRuns, pcMem)
 		if err != nil {
 			return plan, err
 		}
@@ -494,10 +301,10 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 				pcMem, it.Name, it.MemoryGB)
 		}
 		start := t
-		if b.PB == cloud.Serverless && cfg.Pattern != Conventional {
+		if serverlessPB && cfg.Pattern != Conventional {
 			t = t.Add(boot) // nothing to adopt after a serverless PB
 		}
-		plan.PC = postModel.Duration(fs, min(cores, 8)) * vclock.Duration(pcRuns)
+		plan.PC = postModel.Duration(fs, stageSlots(cores)) * pcRuns
 		t = t.Add(plan.PC)
 		if cfg.Pattern != Conventional {
 			cost += vmWindow(b.PC, 1, start, t)
@@ -507,11 +314,7 @@ func predictBackends(ds *simdata.Dataset, cfg Config) (Plan, error) {
 	if cfg.Pattern == Conventional {
 		// One cluster, sized for the whole workflow, from first boot to
 		// the end of PC, on PA's backend (the only pilot there is).
-		n := shards
-		if nodes > n {
-			n = nodes
-		}
-		cost += vmWindow(b.PA, n, vclock.Time(0).Add(plan.Transfer), t)
+		cost += vmWindow(b.PA, max(shards, nodes), vclock.Time(0).Add(plan.Transfer), t)
 	}
 
 	plan.TTC = vclock.Duration(t)
@@ -644,11 +447,4 @@ func sortPlansByTTC(plans []Plan) {
 			break
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -150,9 +150,10 @@ func TestFrontierEdgeCases(t *testing.T) {
 	}
 }
 
-// Backend-aware predictions must track the simulation the same way the
-// on-demand path does (tolerances widened: the spot walk and cold-start
-// bursts add variance the closed-form path doesn't have).
+// Backend-aware predictions must track the simulation the same way
+// all-on-demand ones do (tolerances wider than TestPredictTracksRun's:
+// the spot walk and cold-start bursts add variance on-demand runs
+// don't have).
 func TestPredictTracksRunBackends(t *testing.T) {
 	ds := tinyDS(t)
 	for _, tc := range []struct {

@@ -16,6 +16,15 @@ func TestPredictTracksRun(t *testing.T) {
 		tinyConfig(),
 		func() Config { c := tinyConfig(); c.Scheme = S1; return c }(),
 		func() Config { c := tinyConfig(); c.Assemblers = []string{"velvet"}; return c }(),
+		// Conventional runs one cluster sized for the whole workflow
+		// from first boot to the end of PC.
+		func() Config { c := tinyConfig(); c.Pattern = Conventional; c.Assemblers = []string{"ray"}; return c }(),
+		func() Config {
+			c := tinyConfig()
+			c.Pattern = Conventional
+			c.Assemblers = []string{"ray", "abyss"}
+			return c
+		}(),
 	} {
 		cfg.EvaluateAgainstTruth = false
 		plan, err := Predict(ds, cfg)
@@ -28,13 +37,13 @@ func TestPredictTracksRun(t *testing.T) {
 		}
 		ttcRatio := plan.TTC.Seconds() / rep.TTC.Seconds()
 		if ttcRatio < 0.75 || ttcRatio > 1.35 {
-			t.Errorf("%v %v: predicted TTC %v vs actual %v (ratio %.2f)",
-				cfg.Assemblers, cfg.Scheme, plan.TTC, rep.TTC, ttcRatio)
+			t.Errorf("%v %v %v: predicted TTC %v vs actual %v (ratio %.2f)",
+				cfg.Assemblers, cfg.Scheme, cfg.Pattern, plan.TTC, rep.TTC, ttcRatio)
 		}
 		costRatio := plan.CostUSD / rep.CostUSD
 		if costRatio < 0.6 || costRatio > 1.6 {
-			t.Errorf("%v %v: predicted cost $%.2f vs actual $%.2f (ratio %.2f)",
-				cfg.Assemblers, cfg.Scheme, plan.CostUSD, rep.CostUSD, costRatio)
+			t.Errorf("%v %v %v: predicted cost $%.2f vs actual $%.2f (ratio %.2f)",
+				cfg.Assemblers, cfg.Scheme, cfg.Pattern, plan.CostUSD, rep.CostUSD, costRatio)
 		}
 		if plan.AssemblyNodes != rep.AssemblyNodes {
 			t.Errorf("predicted %d PB nodes, actual %d", plan.AssemblyNodes, rep.AssemblyNodes)

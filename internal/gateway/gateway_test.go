@@ -274,10 +274,3 @@ func TestConcurrentRuns(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

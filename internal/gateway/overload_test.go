@@ -280,6 +280,38 @@ func TestInfeasibleSubmissionOverHTTP(t *testing.T) {
 	}
 }
 
+// TestConventionalCostAdmission: a Conventional run bills one cluster
+// sized for the whole workflow from first boot to the end of PC, and
+// admission must price that bill. A budget 20% below the simulated
+// cost is rejected as infeasible on cost.
+func TestConventionalCostAdmission(t *testing.T) {
+	req := RunRequest{Profile: "tiny", Assemblers: []string{"ray"}, Pattern: "conventional"}
+	cfg, ds, err := buildConfig(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Run(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.MaxCostUSD = 0.8 * rep.CostUSD
+
+	s, ts := newTestServer(t)
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(ts.URL+"/api/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("budget $%.4f under simulated cost $%.4f: status %d, want 422",
+			req.MaxCostUSD, rep.CostUSD, resp.StatusCode)
+	}
+	if v := s.Metrics().Counter(MetricRunsRejected, "", obs.Labels{"reason": RejectCost}).Value(); v != 1 {
+		t.Fatalf("rejected{%s} = %v, want 1", RejectCost, v)
+	}
+}
+
 // TestOverloadMetricCardinalityPinned: every rejection series is
 // registered at construction and traffic never mints new ones.
 func TestOverloadMetricCardinalityPinned(t *testing.T) {

@@ -17,7 +17,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"rnascale/internal/vclock"
@@ -258,10 +257,6 @@ func (e *Engine) RunChain(jobs []Job, input []KV) ([]KV, vclock.Duration, error)
 		}
 		cur = res.Output
 		total += res.Elapsed
-		if os.Getenv("MR_DEBUG") != "" {
-			fmt.Fprintf(os.Stderr, "MRDBG job=%s elapsed=%v in=%d out=%d maps=%d reds=%d shuffle=%d\n",
-				jobs[i].Name, res.Elapsed, len(cur), len(res.Output), res.MapTasks, res.ReduceTasks, res.ShuffleBytes)
-		}
 	}
 	return cur, total, nil
 }

@@ -60,13 +60,6 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Run applies the filters and returns the cleaned read set.
 func Run(rs seq.ReadSet, opts Options) (seq.ReadSet, Stats) {
 	st := Stats{InputReads: len(rs.Reads), InputBases: rs.TotalBases()}
