@@ -253,7 +253,8 @@ func (s *Server) handleResume(w http.ResponseWriter, id string) {
 // seq if damaged) plus a Merkle inclusion proof for one record —
 // ?seq=N, defaulting to the last record. A client that pins the
 // chain head or root when a run finishes can later audit that no
-// record was rewritten, without downloading the journal.
+// record was rewritten, without downloading the journal. Both come
+// from one read and one verification pass of the journal.
 func (s *Server) handleProof(w http.ResponseWriter, r *http.Request, id string) {
 	s.mu.Lock()
 	rn, ok := s.runs[id]
@@ -270,17 +271,16 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request, id string) 
 		writeErr(w, http.StatusConflict, "run %s has no journal (gateway journaling is disabled)", id)
 		return
 	}
-	vr, err := journal.Verify(path)
+	a, err := journal.ReadAudit(path)
 	if err != nil {
 		writeErr(w, http.StatusConflict, "run %s has no surviving journal: %v", id, err)
 		return
 	}
-	lg, err := journal.Inspect(path)
-	if err != nil {
-		writeErr(w, http.StatusConflict, "run %s: %v", id, err)
+	if a.Err != nil {
+		writeErr(w, http.StatusConflict, "run %s: %v", id, a.Err)
 		return
 	}
-	seq := len(lg.Records) - 1
+	seq := a.Result.Records - 1
 	if qs := r.URL.Query().Get("seq"); qs != "" {
 		n, err := strconv.Atoi(qs)
 		if err != nil {
@@ -289,10 +289,10 @@ func (s *Server) handleProof(w http.ResponseWriter, r *http.Request, id string) 
 		}
 		seq = n
 	}
-	proof, err := lg.Proof(seq)
+	proof, err := a.Proof(seq)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"verify": vr, "proof": proof})
+	writeJSON(w, http.StatusOK, map[string]any{"verify": a.Result, "proof": proof})
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -260,6 +261,118 @@ func TestProofEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/api/runs/run-99999/proof", &errBody); code != http.StatusNotFound {
 		t.Errorf("unknown run proof status %d, want 404", code)
+	}
+}
+
+// legacyProof answers a proof request the way the endpoint did before
+// it read the journal once: a Verify pass, then Inspect, then
+// Log.Proof, each reading and verifying the file on its own. Verify
+// now shares ReadAudit with the endpoint, so its report is rebuilt
+// here from Inspect's tolerant read (the same scan it used to run)
+// and Log.Root.
+func legacyProof(id, path, qs string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	if _, err := os.ReadFile(path); err != nil { // Verify's only error
+		writeErr(w, http.StatusConflict, "run %s has no surviving journal: %v", id, err)
+		return w
+	}
+	lg, err := journal.Inspect(path)
+	if err != nil {
+		writeErr(w, http.StatusConflict, "run %s: %v", id, err)
+		return w
+	}
+	vr := journal.VerifyResult{Records: len(lg.Records), BadSeq: -1, ChainHead: lg.ChainHead(), Root: lg.Root()}
+	if r := lg.Repair; r != nil {
+		vr.TrailingBytes, vr.MissingNewline = r.TruncatedBytes, r.RepairedNewline
+		if r.TruncatedBytes > 0 {
+			vr.BadSeq, vr.Reason = len(lg.Records), r.Reason
+		}
+	}
+	seq := len(lg.Records) - 1
+	if qs != "" {
+		n, err := strconv.Atoi(qs)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "bad seq %q", qs)
+			return w
+		}
+		seq = n
+	}
+	proof, err := lg.Proof(seq)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return w
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"verify": vr, "proof": proof})
+	return w
+}
+
+// TestProofMatchesLegacyReads: the one-pass proof endpoint answers
+// byte-for-byte what Verify+Inspect+Proof answered, on a clean
+// journal, on torn, newline-less, tampered and unverifiable ones, and
+// for every kind of seq query.
+func TestProofMatchesLegacyReads(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newJournaledServer(t, dir)
+	view := submitRun(t, ts, RunRequest{Profile: "tiny", Assemblers: []string{"ray"}})
+	s.Wait()
+	path := filepath.Join(dir, view.ID+".journal")
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := append([]byte(nil), clean...)
+	tampered[bytes.IndexByte(tampered, '\n')+10] ^= 1 // inside record 1
+	journals := []struct {
+		name string
+		data []byte
+	}{
+		{"clean", clean},
+		{"torn-tail", append(append([]byte(nil), clean...), `{"seq":99,"kind":"unit","vti`...)},
+		{"missing-newline", clean[:len(clean)-1]},
+		{"tampered", tampered},
+		{"unverifiable", []byte("not a journal\n")},
+		{"empty", nil},
+		{"removed", nil},
+	}
+	queries := []string{"", "0", "1", "3", "-1", "9999", "x"}
+	// Every status the endpoint can answer must be among the cases.
+	wantStatus := map[string]int{
+		"clean ": 200, "clean 1": 200, "clean 9999": 400, "clean x": 400, "clean -1": 400,
+		"torn-tail ": 200, "missing-newline 3": 200, "tampered 0": 200, "tampered 1": 400,
+		"unverifiable ": 409, "empty ": 409, "removed ": 409,
+	}
+	for _, j := range journals {
+		if j.name == "removed" {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, j.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, qs := range queries {
+			url := ts.URL + "/api/runs/" + view.ID + "/proof"
+			if qs != "" {
+				url += "?seq=" + qs
+			}
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			_, err = got.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := legacyProof(view.ID, path, qs)
+			if code, ok := wantStatus[j.name+" "+qs]; ok && resp.StatusCode != code {
+				t.Errorf("%s ?seq=%q: status %d, want %d", j.name, qs, resp.StatusCode, code)
+			}
+			if resp.StatusCode != want.Code || !bytes.Equal(got.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%s ?seq=%q: got %d %s\nwant %d %s", j.name, qs,
+					resp.StatusCode, got.Bytes(), want.Code, want.Body.Bytes())
+			}
+		}
 	}
 }
 

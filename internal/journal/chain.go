@@ -153,25 +153,75 @@ func (r VerifyResult) String() string {
 // chain breaks. The returned error covers I/O only; corruption is
 // reported in the result.
 func Verify(path string) (VerifyResult, error) {
-	b, err := os.ReadFile(path)
+	a, err := ReadAudit(path)
 	if err != nil {
 		return VerifyResult{}, err
 	}
+	return a.Result, nil
+}
+
+// Audit is one read of a journal for serving its provenance: the
+// verification report and the Merkle leaves that inclusion proofs
+// fold, both derived from a single scan of the file, so a report plus
+// a proof costs one read, one chain verification and one leaf pass.
+// It keeps no Log, whose exported Records could drift from the
+// leaves.
+type Audit struct {
+	// Result is what Verify reports for the same bytes.
+	Result VerifyResult
+	// Err is what Inspect would fail with for the same bytes: no
+	// verifiable record prefix exists, or it does not open with a
+	// header. Proofs are refused while it is set.
+	Err error
+
+	leaves    [][sha256.Size]byte
+	leavesErr error
+}
+
+// ReadAudit reads and verifies the journal at path once. Like
+// Verify, the returned error covers I/O only.
+func ReadAudit(path string) (*Audit, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
 	res := scan(b)
-	vr := VerifyResult{
-		Records:       len(res.recs),
-		BadSeq:        -1,
-		TrailingBytes: res.total - res.goodEnd,
-		ChainHead:     ChainSeed(),
+	_, lerr := res.log(path)
+	lg := &Log{Records: res.recs}
+	a := &Audit{
+		Result: VerifyResult{
+			Records:        len(res.recs),
+			BadSeq:         -1,
+			TrailingBytes:  res.total - res.goodEnd,
+			MissingNewline: res.missingNewline,
+			ChainHead:      lg.ChainHead(),
+		},
+		Err: lerr,
 	}
 	if res.goodEnd < res.total {
-		vr.BadSeq = len(res.recs)
-		vr.Reason = res.reason
+		a.Result.BadSeq = len(res.recs)
+		a.Result.Reason = res.reason
 	}
-	vr.MissingNewline = res.missingNewline
-	if len(res.recs) > 0 {
-		vr.ChainHead = res.recs[len(res.recs)-1].Chain
+	a.leaves, a.leavesErr = lg.leaves()
+	if a.leavesErr == nil {
+		// A record that unmarshalled cannot fail to re-marshal; the
+		// root stays empty if one did, and Proof surfaces the error.
+		a.Result.Root = hexRoot(a.leaves)
 	}
-	vr.Root = (&Log{Records: res.recs}).Root()
-	return vr, nil
+	return a, nil
+}
+
+// Proof builds the inclusion proof for record seq, as Log.Proof does
+// for the same records.
+func (a *Audit) Proof(seq int) (Proof, error) {
+	if a.Err != nil {
+		return Proof{}, a.Err
+	}
+	if err := checkSeq(seq, a.Result.Records); err != nil {
+		return Proof{}, err
+	}
+	if a.leavesErr != nil {
+		return Proof{}, a.leavesErr
+	}
+	return prove(a.leaves, seq, a.Result.ChainHead), nil
 }

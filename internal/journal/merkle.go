@@ -79,6 +79,10 @@ func (l *Log) Root() string {
 		// the accessor ergonomic and let Proof surface real errors.
 		return ""
 	}
+	return hexRoot(leaves)
+}
+
+func hexRoot(leaves [][sha256.Size]byte) string {
 	root := merkleRoot(leaves)
 	return hex.EncodeToString(root[:])
 }
@@ -106,18 +110,31 @@ type Proof struct {
 
 // Proof builds the inclusion proof for record seq.
 func (l *Log) Proof(seq int) (Proof, error) {
-	if seq < 0 || seq >= len(l.Records) {
-		return Proof{}, fmt.Errorf("journal: proof: seq %d out of range [0,%d)", seq, len(l.Records))
+	if err := checkSeq(seq, len(l.Records)); err != nil {
+		return Proof{}, err
 	}
 	leaves, err := l.leaves()
 	if err != nil {
 		return Proof{}, err
 	}
+	return prove(leaves, seq, l.ChainHead()), nil
+}
+
+func checkSeq(seq, records int) error {
+	if seq < 0 || seq >= records {
+		return fmt.Errorf("journal: proof: seq %d out of range [0,%d)", seq, records)
+	}
+	return nil
+}
+
+// prove builds the inclusion proof for leaf seq, which the caller has
+// range-checked.
+func prove(leaves [][sha256.Size]byte, seq int, chainHead string) Proof {
 	p := Proof{
 		Seq:       seq,
-		Records:   len(l.Records),
+		Records:   len(leaves),
 		Leaf:      hex.EncodeToString(leaves[seq][:]),
-		ChainHead: l.ChainHead(),
+		ChainHead: chainHead,
 	}
 	level, i := leaves, seq
 	for len(level) > 1 {
@@ -140,7 +157,7 @@ func (l *Log) Proof(seq int) (Proof, error) {
 		level = next
 	}
 	p.Root = hex.EncodeToString(level[0][:])
-	return p, nil
+	return p
 }
 
 // RecordLeaf computes the Merkle leaf of a record an auditor holds,

@@ -1,6 +1,10 @@
 package journal
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -114,5 +118,74 @@ func TestVerifyReportsRootAndHead(t *testing.T) {
 	}
 	if vr.ChainHead != lg.ChainHead() || vr.Root != lg.Root() {
 		t.Fatalf("verify head/root (%s, %s) != log (%s, %s)", vr.ChainHead, vr.Root, lg.ChainHead(), lg.Root())
+	}
+}
+
+// TestAuditMatchesSeparateReads: one ReadAudit of a torn journal
+// reports what Verify does, with the root Inspect's records give, and
+// every proof it builds equals the one Inspect's log builds.
+func TestAuditMatchesSeparateReads(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 9} {
+		path, _ := writeFixture(t, n)
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"seq":99,"kind":"unit","vti`); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		a, err := ReadAudit(path)
+		if err != nil || a.Err != nil {
+			t.Fatalf("n=%d: ReadAudit: %v, %v", n, err, a.Err)
+		}
+		vr, err := Verify(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg, err := Inspect(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Result != vr || vr.Root != lg.Root() || vr.Clean() {
+			t.Fatalf("n=%d: audit %+v, verify %+v, log root %s", n, a.Result, vr, lg.Root())
+		}
+		for seq := -1; seq <= n; seq++ {
+			got, gerr := a.Proof(seq)
+			want, werr := lg.Proof(seq)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d seq=%d: audit proof %+v (%v), log proof %+v (%v)", n, seq, got, gerr, want, werr)
+			}
+		}
+	}
+}
+
+// TestAuditRefusesHeaderlessPrefix: a verifiable prefix that does not
+// open with a header is reported but never proved, as Inspect refuses
+// to read it.
+func TestAuditRefusesHeaderlessPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(Record{Kind: KindUnit}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadAudit(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ierr := Inspect(path); a.Err == nil || a.Err.Error() != ierr.Error() {
+		t.Fatalf("audit error %v, Inspect error %v", a.Err, ierr)
+	}
+	if !a.Result.Clean() || a.Result.Records != 1 {
+		t.Fatalf("audit result %s, want clean with 1 record", a.Result)
+	}
+	if _, err := a.Proof(0); err == nil {
+		t.Fatal("proof of a headerless journal succeeded")
 	}
 }

@@ -358,6 +358,11 @@ func (w *Writer) Err() error {
 
 // Close drains pending appends, stops the flusher and closes the
 // underlying file, if any. Safe to call more than once.
+//
+// Once the flusher has exited, Close drops its coalescing buffer and
+// the pending queue's backing array: a closed writer stays reachable
+// from whatever holds it (a finished run's config), and would
+// otherwise pin its largest batch for as long as that lives.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -373,6 +378,11 @@ func (w *Writer) Close() error {
 		default:
 		}
 		<-w.flusherDone
+		// Appends after closed fail before touching pending, and the
+		// flusher drained it and exited: nothing uses either again.
+		w.mu.Lock()
+		w.buf, w.pending = nil, nil
+		w.mu.Unlock()
 	}
 	if w.file != nil {
 		return w.file.Close()

@@ -227,6 +227,40 @@ func TestAppendAfterClose(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesBatchBuffer: a closed writer stays reachable from
+// whatever holds it (a finished run's config), so Close must drop the
+// flusher's coalescing buffer and the pending queue's backing array
+// instead of pinning the largest batch the writer ever committed.
+func TestCloseReleasesBatchBuffer(t *testing.T) {
+	sink := &countingSink{delay: time.Millisecond}
+	w := NewSyncedWriter(sink, sink.sync, Options{BatchSize: 16})
+	payload := []byte(`"` + strings.Repeat("x", 64<<10) + `"`)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if _, err := w.Append(Record{Kind: KindUnit, Unit: fmt.Sprintf("g%d-%d", g, i), Payload: payload}); err != nil {
+					t.Errorf("append: %v", err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Every append has returned, so the flusher's last write to buf
+	// happened before this read.
+	if cap(w.buf) < len(payload) {
+		t.Fatalf("batch buffer cap %d after %d-byte appends: the test no longer exercises it", cap(w.buf), len(payload))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.buf != nil || w.pending != nil {
+		t.Fatalf("closed writer still holds %d buffer bytes and a %d-slot pending queue", cap(w.buf), cap(w.pending))
+	}
+}
+
 // TestLargePayloadRoundTrip: payloads beyond bufio.Scanner's default
 // 64 KiB token cap — which used to fail the read with an opaque
 // "token too long" — round-trip through the bufio.Reader line loop.

@@ -3,10 +3,10 @@
 // bench-gate`.
 //
 // Each kernel is one of the hot paths the ROADMAP's "raw speed" line
-// targets — k-mer counting and DBG construction, FASTA/FASTQ parsing,
-// the vclock slot scheduler, MPI collective rendezvous, the spot
-// market's price walk, journal appends — run over a deterministic
-// workload (a splitmix64-seeded
+// targets — canonical k-mers, k-mer counting and DBG construction,
+// FASTA/FASTQ parsing, the vclock slot scheduler, MPI collective
+// rendezvous, the spot market's price walk, journal appends — run
+// over a deterministic workload (a splitmix64-seeded
 // synthetic genome, never math/rand), so that allocsPerOp and
 // bytesPerOp are stable across runs and only nsPerOp carries
 // machine noise. The gate (Compare) exploits that split: wall time
@@ -128,6 +128,41 @@ func Kernels() []Kernel {
 				return func() {
 					if coder.CountDistinct(reads) == 0 {
 						panic("kernelbench: no k-mers")
+					}
+				}
+			},
+		},
+		{
+			// Canonical k-mers: the reverse complement every k-mer
+			// count and every DBG lookup pays, over pre-encoded k-mers
+			// at a one-word (31) and a two-word (63) k.
+			Name:  "seq.canonical",
+			Iters: 100,
+			Setup: func() func() {
+				type batch struct {
+					coder seq.KmerCoder
+					kmers []seq.Kmer
+				}
+				var batches []batch
+				for _, k := range []int{31, 63} {
+					b := batch{coder: seq.MustKmerCoder(k)}
+					b.coder.ForEach(genome(uint64(8+k), 4096+k), func(_ int, km seq.Kmer) bool {
+						b.kmers = append(b.kmers, km)
+						return true
+					})
+					batches = append(batches, b)
+				}
+				return func() {
+					canonical := 0
+					for _, b := range batches {
+						for _, km := range b.kmers {
+							if _, ok := b.coder.Canonical(km); ok {
+								canonical++
+							}
+						}
+					}
+					if canonical == 0 {
+						panic("kernelbench: no canonical k-mers")
 					}
 				}
 			},

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"math/bits"
 
 	"rnascale/internal/obs/perf"
 )
@@ -142,14 +143,28 @@ func (c KmerCoder) String(km Kmer) string { return string(c.Decode(km)) }
 
 // ReverseComplement returns the reverse complement of the k-mer: the
 // 3' base of the input, complemented, becomes the 5' base of the
-// result.
+// result. It works on all 64 base slots of the 128-bit pair at once:
+// complement every base (the complement of a 2-bit code is 3-code,
+// i.e. code XOR 3, so NOT complements them all), reverse the slots
+// within each word and swap the words, which leaves the k real bases,
+// reversed, in the top 2k bits; shifting right by 128-2k moves them
+// down and drops the complemented padding.
 func (c KmerCoder) ReverseComplement(km Kmer) Kmer {
-	var rc Kmer
-	for i := c.K - 1; i >= 0; i-- {
-		code := c.BaseAt(km, i)
-		rc = c.shiftAppend(rc, 3-code) // complement of 2-bit code is 3-code
+	hi, lo := reverseBases(^km.Lo), reverseBases(^km.Hi)
+	shift := uint(128 - 2*c.K) // in [2, 126] for k in [1, MaxK]
+	if shift >= 64 {
+		return Kmer{Lo: hi >> (shift - 64)}
 	}
-	return rc
+	return Kmer{Hi: hi >> shift, Lo: lo>>shift | hi<<(64-shift)}
+}
+
+// reverseBases reverses the order of the 32 2-bit base slots of x:
+// swap adjacent slots, then adjacent slot pairs, which reverses the
+// four slots of every byte, then reverse the bytes.
+func reverseBases(x uint64) uint64 {
+	x = x>>2&0x3333333333333333 | x&0x3333333333333333<<2
+	x = x>>4&0x0F0F0F0F0F0F0F0F | x&0x0F0F0F0F0F0F0F0F<<4
+	return bits.ReverseBytes64(x)
 }
 
 // Less reports whether a sorts before b as a 128-bit integer, which

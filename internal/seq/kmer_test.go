@@ -2,6 +2,7 @@ package seq
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -256,4 +257,99 @@ func TestBaseAtPanics(t *testing.T) {
 		}
 	}()
 	c.BaseAt(Kmer{}, 4)
+}
+
+// referenceReverseComplement is the per-base reverse complement the
+// bit-parallel KmerCoder.ReverseComplement replaced: walk the bases
+// 3' to 5', appending each one's complement (3-code).
+func referenceReverseComplement(c KmerCoder, km Kmer) Kmer {
+	var rc Kmer
+	for i := c.K - 1; i >= 0; i-- {
+		rc = c.shiftAppend(rc, 3-c.BaseAt(km, i))
+	}
+	return rc
+}
+
+// randomKmer draws a uniformly random k-mer of the coder's size,
+// straight from the bit pattern rather than through Encode.
+func randomKmer(rng *rand.Rand, c KmerCoder) Kmer {
+	return c.mask(Kmer{Hi: rng.Uint64(), Lo: rng.Uint64()})
+}
+
+// Property, for every k: the bit-parallel reverse complement equals
+// the per-base reference, is an involution, and leaves the canonical
+// form unchanged. An odd-length k-mer is never its own reverse
+// complement (its middle base would have to be its own complement).
+func TestKmerReverseComplementBitParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for k := 1; k <= MaxK; k++ {
+		c := MustKmerCoder(k)
+		extremes := []Kmer{{}, c.mask(Kmer{Hi: ^uint64(0), Lo: ^uint64(0)})}
+		for trial := 0; trial < 200; trial++ {
+			km := randomKmer(rng, c)
+			if trial < len(extremes) {
+				km = extremes[trial]
+			}
+			rc := c.ReverseComplement(km)
+			if want := referenceReverseComplement(c, km); rc != want {
+				t.Fatalf("k=%d RC(%s) = %s, per-base reference %s", k, c.String(km), c.String(rc), c.String(want))
+			}
+			if back := c.ReverseComplement(rc); back != km {
+				t.Fatalf("k=%d RC(RC(%s)) = %s", k, c.String(km), c.String(back))
+			}
+			c1, _ := c.Canonical(km)
+			c2, _ := c.Canonical(rc)
+			if c1 != c2 {
+				t.Fatalf("k=%d Canonical(%s) = %s but Canonical(RC) = %s", k, c.String(km), c.String(c1), c.String(c2))
+			}
+			if k%2 == 1 && rc == km {
+				t.Fatalf("k=%d odd-length %s is its own reverse complement", k, c.String(km))
+			}
+		}
+	}
+}
+
+// Even-length palindromes (a half followed by its reverse complement)
+// are their own reverse complement and already canonical.
+func TestKmerReverseComplementPalindromes(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for k := 2; k <= MaxK; k += 2 {
+		c := MustKmerCoder(k)
+		for trial := 0; trial < 50; trial++ {
+			half := randomSeq(rng, k/2)
+			km, ok := c.Encode(append(half, ReverseComplement(half)...))
+			if !ok {
+				t.Fatalf("k=%d: encode failed", k)
+			}
+			if rc := c.ReverseComplement(km); rc != km {
+				t.Fatalf("k=%d palindrome %s: RC = %s", k, c.String(km), c.String(rc))
+			}
+			if _, canon := c.Canonical(km); !canon {
+				t.Fatalf("k=%d palindrome %s not canonical", k, c.String(km))
+			}
+		}
+	}
+}
+
+// The word boundaries: at k=32 the k-mer fills Lo exactly and Hi is
+// empty; at k=33 the 5' base is the only base in Hi. A base must
+// cross between the words in both directions.
+func TestKmerReverseComplementWordBoundaries(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"T" + strings.Repeat("A", 31), strings.Repeat("T", 31) + "A"},
+		{strings.Repeat("C", 31) + "G", "C" + strings.Repeat("G", 31)},
+		{"T" + strings.Repeat("A", 32), strings.Repeat("T", 32) + "A"},
+		{strings.Repeat("C", 32) + "A", "T" + strings.Repeat("G", 32)},
+		{"G" + strings.Repeat("ACGT", 8), strings.Repeat("ACGT", 8) + "C"},
+	} {
+		c := MustKmerCoder(len(tc.in))
+		km, _ := c.Encode([]byte(tc.in))
+		rc := c.ReverseComplement(km)
+		if got := c.String(rc); got != tc.want {
+			t.Errorf("k=%d RC(%s) = %s, want %s", c.K, tc.in, got, tc.want)
+		}
+		if c.K == 32 && rc.Hi != 0 {
+			t.Errorf("k=32 RC(%s) set Hi = %#x", tc.in, rc.Hi)
+		}
+	}
 }
